@@ -876,6 +876,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Before the run, not after it: a bad directory fails in a moment.
+    if let Some(dir) = &args.json_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("creating {dir}: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
     for (i, &protocol) in args.protocols.iter().enumerate() {
         if i > 0 {
             println!("\n{}\n", "=".repeat(64));

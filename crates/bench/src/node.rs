@@ -4,11 +4,13 @@
 //! This is the deployment shape the paper assumes — `n` independent
 //! processes that only share a network — assembled from the exact pieces
 //! the simulator tests: the engines come from the same builders
-//! ([`build_streamlet_engines`] / [`build_fbft_engines`]), the loop
-//! mirrors the generic `EngineRunner` event loop, and durability follows
-//! the same write-ahead discipline: every record in
-//! [`EngineStep::persist`] is appended to the log *before* any message it
-//! justifies is routed. On startup the node replays `wal.log` into a
+//! ([`build_streamlet_engines`] / [`build_fbft_engines`]), and the loop
+//! *is* the generic [`EngineRunner`], driving this one engine over a
+//! [`NodeTransport`]. Durability is group commit: every record in
+//! [`EngineStep::persist`](sft_core::EngineStep::persist) is handed to
+//! the log's writer thread before any message it justifies is routed,
+//! and the transport holds each outbound frame until the log is durable
+//! up to those records. On startup the node replays `wal.log` into a
 //! fresh engine, so a `kill -9` + restart resumes exactly the pre-crash
 //! voting history — never equivocating against its former self.
 //!
@@ -21,19 +23,19 @@
 //!                         written atomically at exit
 //! ```
 
-use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use sft_core::{DurableWal, EngineStep, GroupCommitWal, ReplicaEngine, Route, WalRecord, WalStore};
+use sft_core::{ReplicaEngine, WalStore};
 use sft_network::{NodeTransport, ProtocolTag, Transport};
-use sft_obs::{names, PhaseTimer, Recorder, Registry, SharedRecorder, TraceEvent, TraceSink};
-use sft_sim::{build_fbft_engines, build_streamlet_engines, Protocol, SimConfig};
-use sft_types::{
-    ClientFrame, Decode, Encode, PersistSeq, ReplicaId, Round, SendGate, SimDuration, SimTime,
+use sft_obs::{names, Registry, SharedRecorder, TraceEvent, TraceSink};
+use sft_sim::{
+    build_fbft_engines, build_streamlet_engines, Behavior, EngineRunner, NoMischief, Protocol,
+    RunPlan, RunnerConfig, SimConfig,
 };
+use sft_types::{ReplicaId, Round, SimDuration, SimTime};
 
 /// Everything that parameterizes one node process. Parsed from the
 /// `sft-node` command line; constructed directly by in-process tests.
@@ -57,14 +59,6 @@ pub struct NodeOpts {
     /// How long to keep serving votes and sync responses after reaching
     /// the target, so slower peers (a restarted crasher, say) can finish.
     pub linger: Duration,
-    /// fsync batching: sync the log every this many appended records
-    /// (1 = every record durable before its message leaves; larger
-    /// values trade a bounded durability window for fewer fsyncs).
-    /// Ignored under [`WalMode::GroupCommit`], whose writer thread
-    /// batches adaptively without widening the durability window.
-    pub sync_every: u64,
-    /// How the log is written and sends are held back (see [`WalMode`]).
-    pub wal_mode: WalMode,
     /// The pacing unit δ: Streamlet epochs span `2δ` of wall clock.
     pub delta: Duration,
     /// SFT-DiemBFT base round timeout.
@@ -89,72 +83,9 @@ impl NodeOpts {
     }
 }
 
-/// How the node writes its log and when outbound frames may leave.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum WalMode {
-    /// The classic inline discipline: appends (and their
-    /// `sync_every`-batched fsyncs) run on the engine thread, *before*
-    /// the step's messages are handed to the transport.
-    #[default]
-    SyncEvery,
-    /// The pipelined discipline: appends enqueue to a dedicated
-    /// WAL-writer thread that batches fsyncs adaptively, and every
-    /// outbound frame carries a [`SendGate`] holding it in the
-    /// transport's peer writers until the durability watermark covers
-    /// the records that justify it. Same guarantee as `sync_every = 1`
-    /// — no frame leaves before its records are on disk — without an
-    /// fsync stall on the engine thread.
-    GroupCommit,
-}
-
-/// The node's log under either [`WalMode`], unified for the event loop.
-enum NodeWal {
-    Classic(WalStore),
-    Group(GroupCommitWal),
-}
-
-impl NodeWal {
-    /// Appends one record; returns its persist sequence under the
-    /// pipelined mode (`None` classically — persistence is already
-    /// complete when this returns, nothing to gate).
-    fn append(&mut self, record: &WalRecord) -> Result<Option<PersistSeq>, String> {
-        match self {
-            NodeWal::Classic(wal) => wal
-                .append(record)
-                .map(|()| None)
-                .map_err(|e| format!("wal append: {e}")),
-            NodeWal::Group(wal) => wal
-                .append(record)
-                .map(Some)
-                .map_err(|e| format!("wal append: {e}")),
-        }
-    }
-
-    /// The gate outbound frames must clear, given the node's last
-    /// appended sequence — pipelined mode only.
-    fn gate(&self, last_seq: PersistSeq) -> Option<SendGate> {
-        match self {
-            NodeWal::Classic(_) => None,
-            NodeWal::Group(wal) => (last_seq > 0).then(|| SendGate::new(wal.watermark(), last_seq)),
-        }
-    }
-
-    /// Records appended during this incarnation.
-    fn appended(&self) -> u64 {
-        match self {
-            NodeWal::Classic(wal) => wal.appended(),
-            NodeWal::Group(wal) => wal.last_seq(),
-        }
-    }
-
-    /// Settles the log at shutdown: everything appended is durable.
-    fn finish(self) -> Result<(), String> {
-        match self {
-            NodeWal::Classic(mut wal) => wal.flush().map_err(|e| format!("wal flush: {e}")),
-            NodeWal::Group(wal) => wal.finish().map_err(|e| format!("wal finish: {e}")),
-        }
-    }
-}
+/// Most transactions a leader takes from its mempool into one proposal
+/// (the batch size `sft-loadgen` and the benchmark run at too).
+const BATCH_SIZE: u32 = 64;
 
 /// What a finished node reports back (and prints).
 #[derive(Clone, Debug)]
@@ -177,13 +108,22 @@ pub struct NodeOutcome {
 ///
 /// # Errors
 ///
-/// Returns a description of any socket or WAL failure.
+/// Returns a description of any socket or WAL failure at start-up or
+/// shutdown.
+///
+/// # Panics
+///
+/// Panics if the WAL fails mid-run: a replica that can no longer persist
+/// its votes must stop voting.
 pub fn run_node(opts: &NodeOpts) -> Result<NodeOutcome, String> {
     let n = opts.n();
     if opts.id as usize >= n {
         return Err(format!("id {} out of range for {} peers", opts.id, n));
     }
-    let config = SimConfig::new(n, opts.epochs).with_protocol(opts.protocol);
+    let config = SimConfig::new(n, opts.epochs)
+        .with_protocol(opts.protocol)
+        .with_live_clients(true)
+        .with_batch_size(BATCH_SIZE);
     let delta = SimDuration::from_micros(opts.delta.as_micros() as u64);
     match opts.protocol {
         Protocol::Streamlet => {
@@ -198,12 +138,8 @@ pub fn run_node(opts: &NodeOpts) -> Result<NodeOutcome, String> {
     }
 }
 
-/// Messages pending same-instant self-delivery (a node hears its own
-/// broadcasts without a network round trip, as in every harness).
-type Inbox = VecDeque<(ReplicaId, Arc<[u8]>)>;
-
-/// The node event loop around one engine: recover from the WAL, then
-/// deliver / tick / sync until the target round is passed (plus linger)
+/// Runs one engine over its socket endpoint: recover from the WAL, then
+/// step [`EngineRunner`] until the target round is passed (plus linger)
 /// or the wall-clock budget runs out.
 fn drive<E: ReplicaEngine>(
     mut engine: E,
@@ -228,7 +164,7 @@ fn drive<E: ReplicaEngine>(
     };
     engine.set_recorder(Arc::clone(&recorder));
 
-    let store = WalStore::open(&opts.data_dir, opts.sync_every).map_err(|e| format!("wal: {e}"))?;
+    let store = WalStore::open(&opts.data_dir, 1).map_err(|e| format!("wal: {e}"))?;
     let mut transport = NodeTransport::bind_observed(
         ReplicaId::new(opts.id),
         tag,
@@ -267,40 +203,43 @@ fn drive<E: ReplicaEngine>(
         transport.now().as_micros(),
         &[("records", recovered as u64)],
     ));
-    // Recovery always reads through the classic store; the pipelined
-    // mode upgrades it afterwards, handing the file to the WAL-writer
-    // thread. Gate waiters wake through the watermark's own condvar, so
-    // no transport wake hook is needed here.
-    let mut wal = match opts.wal_mode {
-        WalMode::SyncEvery => NodeWal::Classic(store),
-        WalMode::GroupCommit => NodeWal::Group(
-            store
-                .into_group_commit(Arc::clone(&recorder), None)
-                .map_err(|e| format!("wal writer: {e}"))?,
-        ),
-    };
-    // The node's last appended persist sequence: what its outbound
-    // frames are gated on under the pipelined mode.
-    let mut last_seq: PersistSeq = 0;
+    // Recovery reads through the plain store; the writer thread takes
+    // the file over from here. Gate waiters wake through the watermark's
+    // own condvar, so no transport wake hook is needed.
+    let wal = store
+        .into_group_commit(Arc::clone(&recorder), None)
+        .map_err(|e| format!("wal writer: {e}"))?;
 
-    let id = ReplicaId::new(opts.id);
     let target = Round::new(opts.epochs);
     let step = SimDuration::from_micros(opts.delta.as_micros() as u64);
     let budget_end = transport.now() + SimDuration::from_micros(opts.budget.as_micros() as u64);
     let linger = SimDuration::from_micros(opts.linger.as_micros() as u64);
-    let mut done_at: Option<SimTime> = None;
-    let mut inbox: Inbox = VecDeque::new();
-    // Which client connection awaits each admitted transaction's ack.
-    let mut ack_routes: HashMap<sft_crypto::HashValue, u64> = HashMap::new();
+    let mut runner = EngineRunner::new(
+        vec![engine],
+        vec![Behavior::Honest],
+        transport,
+        NoMischief,
+        // `run_until` consults none of these; they only bound `run`.
+        RunnerConfig {
+            plan: RunPlan::PastRound(target),
+            horizon: budget_end,
+            drain_bound: 0,
+            drain_step: step,
+        },
+    );
+    runner.set_recorder(Arc::clone(&recorder));
+    runner.set_wals(vec![Box::new(wal)]);
 
+    let mut done_at: Option<SimTime> = None;
     loop {
-        let now = transport.now();
+        let now = runner.transport().now();
         if now >= budget_end {
             break;
         }
         // Done when the protocol ran its course — an exhausted epoch
         // clock (Streamlet) or the target round passed (fbft) — and no
         // catch-up fetch is pending.
+        let engine = runner.engine(0);
         let course_run = engine.next_deadline().is_none() || engine.round() > target;
         if course_run && !engine.is_syncing() {
             let at = *done_at.get_or_insert(now);
@@ -308,96 +247,16 @@ fn drive<E: ReplicaEngine>(
                 break;
             }
         }
-        // Wait for traffic until the next engine deadline (or one pacing
-        // step, so the linger/budget clocks keep being checked).
-        let mut wake = now + step;
-        if let Some(deadline) = engine.next_deadline() {
-            wake = wake.min(deadline.max(now));
-        }
-        for d in transport.poll_deliver(wake) {
-            inbox.push_back((d.from, d.payload));
-        }
-        let now = transport.now();
-        // Client gateway ingress: submissions admitted now are eligible
-        // for the next proposal this node builds; Busy/Duplicate verdicts
-        // are answered on the spot.
-        for c in transport.poll_clients() {
-            let Ok(ClientFrame::Request(req)) = ClientFrame::from_bytes(&c.payload) else {
-                continue;
-            };
-            let txn_id = req.txn_id();
-            match engine.submit(&req, now) {
-                Some(verdict) => {
-                    let bytes: Arc<[u8]> = ClientFrame::Ack(verdict).to_bytes().into();
-                    transport.send_client(c.conn, id, bytes);
-                }
-                None => {
-                    ack_routes.insert(txn_id, c.conn);
-                }
-            }
-        }
-        loop {
-            while let Some((from, bytes)) = inbox.pop_front() {
-                let timer = PhaseTimer::start(&*recorder);
-                let step = engine.on_envelope(from, &bytes, now);
-                timer.finish(&*recorder, names::PHASE_ON_ENVELOPE_NS);
-                absorb(
-                    step,
-                    id,
-                    &mut wal,
-                    &mut last_seq,
-                    &mut transport,
-                    &mut inbox,
-                    &*recorder,
-                )?;
-            }
-            let mut fired = false;
-            if engine.next_deadline().is_some_and(|d| d <= now) {
-                fired = true;
-                let timer = PhaseTimer::start(&*recorder);
-                let step = engine.on_tick(now);
-                timer.finish(&*recorder, names::PHASE_ON_TICK_NS);
-                absorb(
-                    step,
-                    id,
-                    &mut wal,
-                    &mut last_seq,
-                    &mut transport,
-                    &mut inbox,
-                    &*recorder,
-                )?;
-            }
-            if fired || !inbox.is_empty() {
-                continue;
-            }
-            let step = engine.poll_sync(now);
-            absorb(
-                step,
-                id,
-                &mut wal,
-                &mut last_seq,
-                &mut transport,
-                &mut inbox,
-                &*recorder,
-            )?;
-            if inbox.is_empty() {
-                break;
-            }
-        }
-        // Stream newly ready strength-graded acks back to their clients.
-        for ack in engine.drain_acks() {
-            if let Some(conn) = ack_routes.remove(&ack.txn_id()) {
-                let bytes: Arc<[u8]> = ClientFrame::Ack(ack).to_bytes().into();
-                transport.send_client(conn, id, bytes);
-            }
-        }
+        // One pacing step at most, so the linger and budget clocks keep
+        // being checked.
+        runner.run_until((now + step).min(budget_end));
     }
 
-    let appended = wal.appended();
-    wal.finish()?;
+    runner.barrier().map_err(|e| format!("wal barrier: {e}"))?;
+    let engine = runner.engine(0);
     recorder.trace(&TraceEvent::new(
         names::EV_NODE_STOP,
-        transport.now().as_micros(),
+        runner.transport().now().as_micros(),
         &[("round", engine.round().as_u64())],
     ));
     if let Some(registry) = &registry {
@@ -411,62 +270,11 @@ fn drive<E: ReplicaEngine>(
     write_commit_file(opts, &committed)?;
     Ok(NodeOutcome {
         recovered,
-        appended,
+        appended: runner.persisted(0).len() as u64,
         committed,
-        disconnects: transport.stats().disconnects,
+        disconnects: runner.transport().stats().disconnects,
         round: engine.round().as_u64(),
     })
-}
-
-/// Write-ahead discipline, then routing: persist the step's durable
-/// records, then send its messages (broadcasts loop back through the
-/// inbox so the node hears itself). Classically "persist" means the
-/// fsync already happened by the time a message is handed over; under
-/// the pipelined mode it means the message carries a [`SendGate`] the
-/// transport's peer writers hold until the watermark covers
-/// `last_seq`. The engine's own loopback delivery is never gated — a
-/// node hearing itself early cannot equivocate against itself.
-fn absorb<S: Transport>(
-    step: EngineStep,
-    id: ReplicaId,
-    wal: &mut NodeWal,
-    last_seq: &mut PersistSeq,
-    transport: &mut S,
-    inbox: &mut Inbox,
-    recorder: &dyn Recorder,
-) -> Result<(), String> {
-    let mut step = step;
-    let persist = PhaseTimer::start(recorder);
-    if !step.persist.is_empty() {
-        let wait = PhaseTimer::start(recorder);
-        for record in &step.persist {
-            if let Some(seq) = wal.append(record)? {
-                *last_seq = seq;
-            }
-        }
-        wait.finish(recorder, names::PHASE_PERSIST_WAIT_NS);
-        step.persist_seq = (*last_seq > 0).then_some(*last_seq);
-    }
-    persist.finish(recorder, names::PHASE_PERSIST_NS);
-    let route = PhaseTimer::start(recorder);
-    for out in step.outbound {
-        let gate = wal.gate(*last_seq);
-        match (out.route, gate) {
-            (Route::Broadcast, Some(gate)) => {
-                transport.broadcast_gated(id, Arc::clone(&out.bytes), gate);
-                inbox.push_back((id, out.bytes));
-            }
-            (Route::Broadcast, None) => {
-                transport.broadcast(id, Arc::clone(&out.bytes));
-                inbox.push_back((id, out.bytes));
-            }
-            (Route::To(peer), _) if peer == id => inbox.push_back((id, out.bytes)),
-            (Route::To(peer), Some(gate)) => transport.send_gated(id, peer, out.bytes, gate),
-            (Route::To(peer), None) => transport.send(id, peer, out.bytes),
-        }
-    }
-    route.finish(recorder, names::PHASE_ROUTE_NS);
-    Ok(())
 }
 
 /// The file the crash harness compares across replicas.

@@ -25,9 +25,7 @@
 use std::sync::Arc;
 
 use sft_crypto::{HashValue, SigStats};
-use sft_types::{
-    ClientAck, ClientRequest, PersistSeq, ReplicaId, Round, SimTime, StrongCommitUpdate,
-};
+use sft_types::{ClientAck, ClientRequest, ReplicaId, Round, SimTime, StrongCommitUpdate};
 
 use crate::wal::WalRecord;
 use crate::{BlockStore, SyncStats};
@@ -106,14 +104,6 @@ pub struct EngineStep {
     /// log *before* routing `outbound` — the write-ahead discipline that
     /// makes a restarted replica honor its pre-crash votes.
     pub persist: Vec<WalRecord>,
-    /// Set by a pipelined harness after appending `persist` to a
-    /// group-commit WAL: the persist sequence of the step's *last*
-    /// record. `outbound` may hit the wire only once the durability
-    /// watermark covers this sequence (persist-before-send, gated at the
-    /// transport instead of fsynced inline). `None` means nothing to
-    /// gate on — either the step persisted nothing or the harness runs
-    /// write-through.
-    pub persist_seq: Option<PersistSeq>,
 }
 
 impl EngineStep {

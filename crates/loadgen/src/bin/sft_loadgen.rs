@@ -237,6 +237,13 @@ fn main() {
             std::process::exit(2);
         }
     };
+    // Before the run, not after it: a bad directory fails in a moment.
+    if let Some(dir) = &args.json_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("sft-loadgen: creating {dir}: {e}");
+            std::process::exit(2);
+        }
+    }
     let mut failed = false;
     for &protocol in &args.protocols {
         println!(

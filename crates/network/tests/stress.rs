@@ -3,10 +3,23 @@
 //! all-to-all broadcast storm at n = 31 (f = 10, the first of the
 //! paper's large sweep sizes).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use sft_network::{ProtocolTag, TcpCluster, Transport};
 use sft_types::{ReplicaId, SimDuration};
+
+/// Serializes the tests in this file. Each one measures the process-wide
+/// thread count, so a second test running alongside would spend the
+/// first one's budget.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`]; a test that failed while holding it does not fail
+/// the other.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Threads currently alive in this process (Linux; test-only).
 #[cfg(target_os = "linux")]
@@ -16,6 +29,7 @@ fn thread_count() -> usize {
 
 #[test]
 fn n31_broadcast_storm_loses_nothing_on_an_o_n_thread_budget() {
+    let _serial = serial();
     const N: usize = 31;
     const ROUNDS: usize = 8;
 
@@ -71,6 +85,7 @@ fn n31_broadcast_storm_loses_nothing_on_an_o_n_thread_budget() {
 #[test]
 #[cfg(target_os = "linux")]
 fn n31_pipelined_runtime_stays_within_the_extended_thread_budget() {
+    let _serial = serial();
     use sft_core::{DurableWal, GroupCommitWal, MemSink};
     use sft_crypto::{BatchItem, KeyRegistry, Signature, PARALLEL_THRESHOLD};
 

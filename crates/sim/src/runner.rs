@@ -25,11 +25,21 @@
 //!
 //! Only the *contents* of the forged votes and twin proposals are
 //! protocol-specific; the [`Mischief`] hook supplies those.
+//!
+//! ## Part of the replica set
+//!
+//! The runner drives a contiguous run of replica ids, not necessarily
+//! all of them: every engine of the set in a harness, a single engine in
+//! a standalone node process whose peers live elsewhere. Engines are
+//! indexed by `id − engines[0].id()`, which is the identity for the full
+//! set; fan-out accounting is sized by the transport's replica count.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use sft_core::{DurableWal, EngineStep, MsgKind, OutboundMsg, ReplicaEngine, Route, WalRecord};
+use sft_core::{
+    DurableWal, EngineStep, MsgKind, OutboundMsg, ReplicaEngine, Route, WalError, WalRecord,
+};
 use sft_crypto::HashValue;
 use sft_network::Transport;
 use sft_obs::{names, PhaseTimer, SharedRecorder};
@@ -124,10 +134,13 @@ pub struct RunnerConfig {
 /// transport delay.
 type Inbox = VecDeque<(ReplicaId, ReplicaId, Arc<[u8]>)>;
 
-/// The generic run harness: `n` engines, their behaviors, one transport,
-/// and one [`Mischief`] hook. See the [module docs](self).
+/// The generic run harness: a contiguous run of engines (all `n` in a
+/// harness), their behaviors, one transport, and one [`Mischief`] hook.
+/// See the [module docs](self).
 pub struct EngineRunner<E: ReplicaEngine, T: Transport, M: Mischief<E>> {
     engines: Vec<E>,
+    /// The id of `engines[0]`: engine `i` is replica `first + i`.
+    first: usize,
     behaviors: Vec<Behavior>,
     transport: T,
     mischief: M,
@@ -162,8 +175,9 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
     ///
     /// # Panics
     ///
-    /// Panics if `engines` and `behaviors` disagree in length or the
-    /// transport connects a different number of replicas.
+    /// Panics if `engines` and `behaviors` disagree in length, `engines`
+    /// is empty or not a contiguous run of ids, or the transport connects
+    /// fewer replicas than the run reaches.
     pub fn new(
         engines: Vec<E>,
         behaviors: Vec<Behavior>,
@@ -172,14 +186,26 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
         config: RunnerConfig,
     ) -> Self {
         assert_eq!(engines.len(), behaviors.len(), "one behavior per replica");
-        assert_eq!(
-            engines.len(),
-            transport.replica_count(),
+        let first = engines
+            .first()
+            .expect("at least one replica")
+            .id()
+            .as_usize();
+        assert!(
+            engines
+                .iter()
+                .enumerate()
+                .all(|(i, e)| e.id().as_usize() == first + i),
+            "engines form a contiguous run of replica ids"
+        );
+        assert!(
+            first + engines.len() <= transport.replica_count(),
             "transport sized for the replica set"
         );
         let n = engines.len();
         Self {
             engines,
+            first,
             behaviors,
             transport,
             mischief,
@@ -283,16 +309,25 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
                 }
             }
         }
-        // Settle durability before reporting: every appended record is
-        // fsynced (so the fsync count is stable) and every gated frame's
-        // watermark is reachable — nothing is left waiting on a sync that
-        // will never come.
-        if let Some(wals) = &mut self.wals {
-            for wal in wals.iter_mut() {
-                wal.barrier().expect("wal barrier");
-            }
-        }
+        // Settle durability before reporting, so the fsync count is
+        // stable.
+        self.barrier().expect("wal barrier");
         self.report()
+    }
+
+    /// Blocks until every record appended to the installed durable logs
+    /// is durable, so every gated frame's watermark is reachable and
+    /// nothing is left waiting on a sync that will never come. A no-op
+    /// without [`set_wals`](Self::set_wals).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first log's failure to reach durability.
+    pub fn barrier(&mut self) -> Result<(), WalError> {
+        for wal in self.wals.iter_mut().flatten() {
+            wal.barrier()?;
+        }
+        Ok(())
     }
 
     /// Advances through every scheduled event at or before `until`, then
@@ -372,7 +407,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
     /// empty poll) on transports without a client gateway.
     fn serve_clients(&mut self, now: SimTime) {
         for delivery in self.transport.poll_clients() {
-            let i = delivery.replica.as_usize();
+            let i = delivery.replica.as_usize().wrapping_sub(self.first);
             if i >= self.engines.len() || self.behaviors[i] == Behavior::Silent {
                 continue;
             }
@@ -424,7 +459,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
         now: SimTime,
         inbox: &mut Inbox,
     ) {
-        let i = to.as_usize();
+        let i = to.as_usize() - self.first;
         if self.behaviors[i] == Behavior::Silent {
             return;
         }
@@ -513,7 +548,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             // One message per transport recipient, mirroring the
             // aggregate NetworkStats accounting but split per kind.
             let recipients = match out.route {
-                Route::Broadcast => (self.engines.len() - 1) as u64,
+                Route::Broadcast => (self.transport.replica_count() - 1) as u64,
                 Route::To(_) => 1,
             };
             let kind = kind_index(out.kind);
@@ -549,7 +584,7 @@ impl<E: ReplicaEngine, T: Transport, M: Mischief<E>> EngineRunner<E, T, M> {
             return;
         };
         let halves: [Arc<[u8]>; 2] = [a.into(), b.into()];
-        let n = self.engines.len();
+        let n = self.transport.replica_count();
         let from = self.engines[i].id();
         for to in 0..n as u16 {
             let target = ReplicaId::new(to);
